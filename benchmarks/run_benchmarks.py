@@ -322,7 +322,12 @@ def scenario_round_throughput(repeats: int) -> dict:
     from repro.data import SyntheticMotionSense
     from repro.experiments.extensions import SCENARIO_SCHEMES, make_scenario
     from repro.experiments.models import model_fn_for
-    from repro.federated import FederatedSimulation, LocalTrainingConfig, SimulationConfig
+    from repro.federated import (
+        FederatedSimulation,
+        LocalTrainingConfig,
+        ScenarioConfig,
+        SimulationConfig,
+    )
 
     sweep = {}
     for scheme in ("no-scenario",) + SCENARIO_SCHEMES:
@@ -339,8 +344,10 @@ def scenario_round_throughput(repeats: int) -> dict:
                 background_subjects_per_gender=2,
             )
             cohort = dataset.num_clients
-            scenario = None if scheme == "no-scenario" else make_scenario(
-                scheme, SCENARIO_DROPOUT, cohort
+            scenario = (
+                ScenarioConfig()
+                if scheme == "no-scenario"
+                else make_scenario(scheme, SCENARIO_DROPOUT, cohort)
             )
             config = SimulationConfig(
                 rounds=SCENARIO_ROUNDS,
@@ -513,7 +520,7 @@ def scheduler_ops_per_second(repeats: int) -> dict:
     occupancy is set by the density, not the backlog, so its pop cost stays
     flat from 10³ to 10⁵ pending events.
     """
-    from repro.federated.events import ClientUpdateArrival, make_scheduler
+    from repro.federated.events import CalendarQueue, ClientUpdateArrival, EventScheduler
     from repro.utils.rng import rng_from_seed
 
     sweep = {}
@@ -524,10 +531,10 @@ def scheduler_ops_per_second(repeats: int) -> dict:
             ClientUpdateArrival(time=float(t), client_id=i) for i, t in enumerate(times)
         ]
         row: dict = {}
-        for backend in ("heap", "calendar"):
+        for backend, scheduler_cls in (("heap", EventScheduler), ("calendar", CalendarQueue)):
             schedule_best = pop_best = float("inf")
             for _ in range(repeats):
-                scheduler = make_scheduler(backend)
+                scheduler = scheduler_cls()
                 start = time.perf_counter()
                 for event in events:
                     scheduler.schedule(event)

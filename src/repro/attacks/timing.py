@@ -129,9 +129,14 @@ class TimingSideChannel:
         records = getattr(source, "rounds", source)
         self.fit(records)
         if not self.profiles:
+            raise ValueError("no arrival timestamps to profile in the warm-up window")
+        if len(set(self.profiles.values())) == 1:
+            # Every arrival lands at the same instant (no latency model): the
+            # stream pops in client order and ties break toward the smaller
+            # id, so "re-identification" would just replay the tie-break.
             raise ValueError(
-                "no arrival timestamps to profile — run with a ScenarioConfig "
-                "(the legacy barrier loop records no event stream)"
+                "the profiled latencies carry no signal (all equal) — configure a "
+                "latency model on the ScenarioConfig to give arrivals a timing"
             )
         warmup_left = self.warmup_rounds
         correct = 0

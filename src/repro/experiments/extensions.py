@@ -598,9 +598,9 @@ def run_dirichlet_churn_matrix(
         client_ids = [c.client_id for c in dataset.clients()]
         for mode in CHURN_MODES:
             availability = _churn_availability(mode, dropout, client_ids, rounds)
-            scenario = ScenarioConfig(availability=availability) if availability else None
             config = dc_replace(
-                params.simulation_config(seed=seed, rounds=rounds), scenario=scenario
+                params.simulation_config(seed=seed, rounds=rounds),
+                scenario=ScenarioConfig(availability=availability),
             )
             result = FederatedSimulation(dataset, model_fn, config).run()
             cells.append(

@@ -12,8 +12,8 @@ Design rules, identical to the fault plane:
 
 * every adversary decision is a pure function of
   ``stable_seed(seed, "adv", kind, client, round)`` — never a shared
-  sequential RNG — so attacker schedules are bit-identical across runs,
-  execution orders, and ``parallelism`` settings;
+  sequential RNG — so attacker schedules are bit-identical across runs and
+  execution orders;
 * a fraction of ``0.0`` (and no explicit attacker ids) skips the hash draw
   entirely, which keeps the zero-adversary configuration bit-identical to
   the adversary-free pipeline;

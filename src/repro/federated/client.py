@@ -308,8 +308,3 @@ class ClientPopulation:
         else:
             for client_id in client_ids:
                 self._cache.pop(client_id, None)
-
-    def clients(self) -> list[FederatedClient]:
-        """Every client, materialized — compatibility surface for eager-era
-        callers and small populations; defeats the memory bound at scale."""
-        return self.materialize(self._ids)

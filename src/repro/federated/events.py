@@ -25,19 +25,20 @@ Determinism contract
 Event times are pure functions of ``(seed, client_id, round)`` (the scenario
 models' contract), and ties are broken by ``(time, priority, seq)`` where
 ``seq`` is the deterministic insertion index.  Event order therefore never
-depends on wall-clock execution, thread scheduling, or ``parallelism`` — the
-same seed always yields the same event trace.  At equal timestamps a
-:class:`BufferFlush` sorts first (the round closes before same-instant
-arrivals from other rounds leak in), an arrival sorts before a
-:class:`RoundDeadline` (an update landing exactly at ``T`` is on time), and
-equal-time arrivals pop in insertion order (client order) — which is what
-keeps the default no-latency scenario bit-identical to the legacy barrier
-loop.
+depends on wall-clock execution or thread scheduling — the same seed always
+yields the same event trace.  At equal timestamps a :class:`BufferFlush`
+sorts first (the round closes before same-instant arrivals from other rounds
+leak in), an arrival sorts before a :class:`RoundDeadline` (an update landing
+exactly at ``T`` is on time), and equal-time arrivals pop in insertion order
+(client order) — which is why the default no-latency scenario merges updates
+in selection order, the paper's synchronous barrier.
 
-Scheduler backends
-------------------
+Scheduler implementations
+-------------------------
 Two implementations share the contract above (and a property-tested,
-bit-identical event trace):
+bit-identical event trace).  The simulation always runs on
+:class:`CalendarQueue`; :class:`EventScheduler` is the reference the tests
+compare it against:
 
 * :class:`EventScheduler` — the binary-heap reference.  ``schedule``/``pop``
   are ``O(log n)`` in the number of pending events, which is fine for
@@ -76,8 +77,6 @@ __all__ = [
     "VirtualClockScheduler",
     "EventScheduler",
     "CalendarQueue",
-    "SCHEDULER_BACKENDS",
-    "make_scheduler",
     "FlushPolicy",
     "SyncFlushPolicy",
     "QuorumFlushPolicy",
@@ -484,21 +483,6 @@ class CalendarQueue(VirtualClockScheduler):
         for bucket in self._coarse.values():
             entries.extend(bucket)
         return entries
-
-
-#: Selectable virtual-clock backends, by name.
-SCHEDULER_BACKENDS = ("calendar", "heap")
-
-
-def make_scheduler(backend: str = "calendar", start_time: float = 0.0) -> VirtualClockScheduler:
-    """Instantiate a scheduler backend by name (see :data:`SCHEDULER_BACKENDS`)."""
-    if backend == "calendar":
-        return CalendarQueue(start_time)
-    if backend == "heap":
-        return EventScheduler(start_time)
-    raise ValueError(
-        f"unknown scheduler backend {backend!r}; choose from {SCHEDULER_BACKENDS}"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ Design rules, identical to the churn/latency models:
 
 * every fault decision is a pure function of
   ``stable_seed(seed, "fault", kind, entity, round, attempt)`` — never a
-  shared sequential RNG — so fault schedules are bit-identical across runs,
-  execution orders, and ``parallelism`` settings;
+  shared sequential RNG — so fault schedules are bit-identical across runs
+  and execution orders;
 * a rate of ``0.0`` skips the hash draw entirely, which keeps the zero-fault
   configuration bit-identical to the fault-free event path;
 * every *injected* fault instance lands in the :class:`FaultLedger` with a

@@ -5,16 +5,16 @@ selected client trains and reports each round (Figures 2–3).  Real
 deployments see *churn* (devices go offline), *stragglers* (slow devices
 miss the round), and *asynchrony* (the server cannot afford to wait for the
 slowest participant).  This module models those regimes on top of the
-existing round engine without perturbing it when no scenario is configured.
+existing round engine without perturbing it under the default scenario.
 
 Design rules, mirroring the training RNGs:
 
 * every stochastic scenario decision is derived from
   ``stable_seed(seed, label, client_id, round_index)`` alone — never from a
   shared sequential RNG — so availability and latency draws are identical
-  across ``parallelism`` settings and independent of execution order;
-* :class:`ScenarioConfig` with all defaults is behaviour-identical to no
-  scenario at all (full participation, synchronous aggregation);
+  across runs and independent of execution order;
+* :class:`ScenarioConfig` with all defaults is the paper's idealized flow
+  (full participation, synchronous aggregation) — the simulation's default;
 * scenario metadata (``staleness``, ``latency``, ``origin_round``) rides on
   :class:`~repro.federated.update.ModelUpdate.metadata` so downstream
   consumers (aggregation weighting, benchmarks) need no new plumbing.
@@ -65,8 +65,8 @@ class ClientAvailability(abc.ABC):
     """Decides, per round, whether a selected client actually participates.
 
     Implementations must be pure functions of ``(seed, client_id,
-    round_index)`` so the decision is reproducible across runs, execution
-    orders, and parallelism settings.
+    round_index)`` so the decision is reproducible across runs and
+    execution orders.
     """
 
     @abc.abstractmethod
@@ -253,8 +253,9 @@ def staleness_weight(staleness: int, alpha: float) -> float:
 class ScenarioConfig:
     """Operating-regime knobs for :class:`~repro.federated.simulation.FederatedSimulation`.
 
-    All defaults are behaviour-identical to running without a scenario: full
-    availability, no latency model, synchronous aggregation.  Mix and match:
+    All defaults give the paper's idealized flow, which is also the
+    simulation's default: full availability, no latency model, synchronous
+    aggregation.  Mix and match:
 
     * ``availability`` — churn model (:class:`RandomDropout`,
       :class:`ChurnTrace`); dropped clients neither train nor report.

@@ -22,7 +22,7 @@ late updates land in later rounds down-weighted by their staleness.
 
 Virtual-time round engine
 -------------------------
-Scenario rounds execute as a discrete-event simulation over one persistent
+Every round executes as a discrete-event simulation over one persistent
 virtual clock (:mod:`repro.federated.events`): each dispatched client's
 update arrives at ``dispatch_time + latency``, the server consumes arrivals
 *in time order*, and the three round-closure schemes are three flush
@@ -34,20 +34,19 @@ on the event stream rather than inferred from bookkeeping, and in-flight
 async updates genuinely stay in transit (their arrival events survive the
 round boundary and pop whenever the clock reaches them).
 
-With no scenario configured the round loop takes exactly the legacy barrier
-code path (bit-identical, regression-tested), and every scenario decision is
-a pure function of ``(seed, client_id, round)`` with deterministic event
-tie-breaking, so results remain bit-identical across ``parallelism``
-settings.  Local training always runs through the flat-plane thread pool
-before its arrival events are scheduled — virtual time orders the *arrivals*,
-not the training computation.
+The default ``ScenarioConfig()`` is the paper's idealized synchronous flow
+on that same loop: every arrival lands at ``round_start`` and the round
+flushes once all of them are in, so the merge order is the selection order.
+Every scenario decision is a pure function of ``(seed, client_id, round)``
+with deterministic event tie-breaking, so the same seed always yields the
+same bits.  Local training runs before the round's arrival events are
+scheduled — virtual time orders the *arrivals*, not the training
+computation.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,19 +61,18 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..defenses.base import Defense
 from ..nn import Module
 from ..utils.rng import rng_from_seed, stable_seed
-from .client import ClientPopulation, FederatedClient, LocalTrainingConfig
+from .client import ClientPopulation, LocalTrainingConfig
 from .cohort import CohortTrainer
 from .events import (
-    SCHEDULER_BACKENDS,
     BufferedFlushPolicy,
     BufferFlush,
+    CalendarQueue,
     ClientUpdateArrival,
     FlushPolicy,
     QuorumFlushPolicy,
     RoundDeadline,
     SyncFlushPolicy,
     TransmissionFailure,
-    make_scheduler,
 )
 from .adversary import AdversaryInjector, AdversaryLedger, update_contributors
 from .aggregation import AGGREGATION_RULES, AggregationPolicy
@@ -92,16 +90,12 @@ __all__ = ["SimulationConfig", "RoundRecord", "SimulationResult", "FederatedSimu
 class SimulationConfig:
     """Experiment-level knobs (paper §6.1.4 per-dataset values).
 
-    ``parallelism`` controls how many clients train concurrently each round
-    (a thread pool; the numpy/BLAS kernels release the GIL).  Every client
-    derives its training RNG from ``stable_seed(seed, client_id, round)``
-    independently of execution order, so results are bit-identical across
-    parallelism settings — and ``parallelism=1`` takes the exact sequential
-    code path.  ``None`` sizes the pool to the machine.
-
-    ``scenario`` opts the round loop into churn/straggler/async operation
-    (see :class:`~repro.federated.scenario.ScenarioConfig`); ``None`` keeps
-    the paper's idealized synchronous flow, bit for bit.
+    Every client derives its training RNG from ``stable_seed(seed,
+    client_id, round)`` independently of execution order.  ``scenario``
+    sets the operating regime of the one round loop — churn, stragglers,
+    buffered-async (see :class:`~repro.federated.scenario.ScenarioConfig`);
+    the default ``ScenarioConfig()`` is the paper's idealized synchronous
+    flow.
     """
 
     rounds: int
@@ -110,23 +104,18 @@ class SimulationConfig:
     seed: int = 0
     sample_weighted: bool = False
     track_per_client_accuracy: bool = True
-    parallelism: int | None = 1
     #: keep every round's received updates for post-hoc analysis (Figure 9,
     #: mixing-quality extensions).  Disable for long/large runs where the
     #: per-round history would grow without bound.
     retain_received_updates: bool = True
-    #: churn / straggler / async operating regime; ``None`` = paper flow.
-    scenario: ScenarioConfig | None = None
+    #: churn / straggler / async operating regime; the default is the
+    #: paper's synchronous flow.
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     #: server aggregation rule — a name from
     #: :data:`~repro.federated.aggregation.AGGREGATION_RULES` or a full
     #: :class:`~repro.federated.aggregation.AggregationPolicy`.  ``"mean"``
     #: (the default) takes the classical FedAvg path, bit for bit.
     aggregation: "str | AggregationPolicy" = "mean"
-    #: virtual-clock backend — ``"calendar"`` (bucketed calendar/ladder
-    #: queue, O(1) amortized pop at any backlog) or ``"heap"`` (the binary
-    #: heap reference).  Both pop bit-identical event traces; the knob exists
-    #: so regressions can be bisected against the reference.
-    scheduler: str = "calendar"
     #: leaf-shard count of the sharded data plane.  ``0`` (the default) keeps
     #: the serial in-process round path — the bit-identity reference.
     #: ``>= 1`` partitions every round's cohort into that many leaf
@@ -152,10 +141,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.scheduler not in SCHEDULER_BACKENDS:
-            raise ValueError(
-                f"unknown scheduler backend {self.scheduler!r}; choose from "
-                f"{SCHEDULER_BACKENDS}"
+        if not isinstance(self.scenario, ScenarioConfig):
+            raise TypeError(
+                f"scenario must be a ScenarioConfig (ScenarioConfig() is the paper's "
+                f"synchronous flow), got {type(self.scenario).__name__}"
             )
         if isinstance(self.aggregation, str) and self.aggregation not in AGGREGATION_RULES:
             raise ValueError(
@@ -168,8 +157,6 @@ class SimulationConfig:
                 f"got {self.clients_per_round} — a round with no selected clients "
                 "can never produce updates to aggregate"
             )
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1 (or None for auto), got {self.parallelism}")
         if self.num_shards < 0:
             raise ValueError(
                 f"num_shards must be >= 0 (0 = the serial reference), got {self.num_shards}"
@@ -194,8 +181,8 @@ class RoundRecord:
 
     The ``num_*`` counters and ``simulated_duration`` describe the scenario
     engine's view of the round (selection → churn → deadline → buffer); under
-    the legacy flow they degenerate to "everyone selected arrived, nothing
-    was stale, duration 0".
+    the default ``ScenarioConfig()`` they degenerate to "everyone selected
+    arrived, nothing was stale, duration 0".
     """
 
     round_index: int
@@ -230,8 +217,8 @@ class RoundRecord:
     #: round that finally merged it.
     merged_latencies: list[float] = field(default_factory=list)
     #: fraction of the round during which the average merged participant sat
-    #: idle after uploading (waiting for the round to close); 0 under the
-    #: legacy barrier flow
+    #: idle after uploading (waiting for the round to close); 0 when the
+    #: round took no simulated time
     idle_fraction: float = 0.0
     #: merged updates per simulated second (0 when the round took no
     #: simulated time, i.e. no latency model was configured)
@@ -388,8 +375,8 @@ class FederatedSimulation:
         # The persistent virtual clock: arrival/deadline/flush events live
         # here across rounds, so buffered-async updates genuinely stay in
         # transit over round boundaries (their events pop when the clock
-        # reaches them).  Only consulted when a scenario is configured.
-        self._scheduler = make_scheduler(config.scheduler)
+        # reaches them).
+        self._scheduler = CalendarQueue()
         # One evaluation replica per simulation: model_accuracy would
         # otherwise rebuild a scratch model from model_fn every round.
         self._eval_model: Module | None = None
@@ -409,13 +396,13 @@ class FederatedSimulation:
         # Fault plane: one injector (pure hash draws, stateless) and one
         # append-only ledger per run.  Without a FaultConfig the injector is
         # None and every fault hook below is a no-op.
-        faults = scenario.faults if scenario is not None else None
+        faults = scenario.faults
         self.fault_ledger = FaultLedger()
         self._fault_injector = FaultInjector(config.seed, faults) if faults is not None else None
         # Byzantine adversary plane: same shape as the fault plane — one
         # deterministic injector, one append-only ledger.  Without an
         # AdversaryConfig both are inert and every hook below is a no-op.
-        adversary = scenario.adversary if scenario is not None else None
+        adversary = scenario.adversary
         self.adversary_ledger = AdversaryLedger()
         self._adversary_injector = (
             AdversaryInjector(config.seed, adversary) if adversary is not None else None
@@ -455,9 +442,7 @@ class FederatedSimulation:
             # fault plane needs the staleness discount even in sync mode
             # (aggregation is unchanged until something stale actually lands).
             staleness_alpha=(
-                scenario.staleness_alpha
-                if scenario is not None and (scenario.is_async or faults is not None)
-                else None
+                scenario.staleness_alpha if scenario.is_async or faults is not None else None
             ),
             fault_injector=self._fault_injector,
             fault_ledger=self.fault_ledger,
@@ -473,16 +458,6 @@ class FederatedSimulation:
                 attack.truth = {c.client_id: c.attribute for c in dataset.clients()}
             self.server.add_observer(attack)
 
-    @property
-    def clients(self) -> list[FederatedClient]:
-        """Every participant, materialized.
-
-        Compatibility surface for eager-era callers; at population scale use
-        :attr:`population` instead — materializing a million replicas is
-        exactly what the descriptor plane avoids.
-        """
-        return self.population.clients()
-
     # ------------------------------------------------------------------
     # Round loop
     # ------------------------------------------------------------------
@@ -491,8 +466,7 @@ class FederatedSimulation:
 
         The draw is over the population *size* — one ``rng.choice`` call and
         ``clients_per_round`` id lookups, regardless of how many clients
-        exist — and consumes exactly the stream the legacy draw over
-        ``self.clients`` did, so selection is bit-identical.
+        exist.
         """
         count = self.config.clients_per_round
         size = len(self.population)
@@ -506,37 +480,20 @@ class FederatedSimulation:
     ) -> list[ModelUpdate]:
         """Train a round's cohort, by id, through the configured data plane.
 
-        With ``num_shards=0`` this is the serial reference (materialize +
-        thread-pool training); with shards the cohort routes through the
-        :class:`~repro.federated.sharding.ShardedRoundEngine`, bit-identical
-        by the merge-order contract.  Callers release the cohort afterwards
-        exactly as before.
+        With ``num_shards=0`` this is the serial reference (materialize, then
+        train one client at a time in cohort order); with shards the cohort
+        routes through the :class:`~repro.federated.sharding.ShardedRoundEngine`,
+        bit-identical by the merge-order contract.  Callers release the cohort
+        afterwards.
         """
         if self._shard_engine is not None:
             return self._shard_engine.train_round(client_ids, broadcast_state, round_index)
         if self._cohort_trainer is not None:
             return self._cohort_trainer.train_updates(client_ids, broadcast_state, round_index)
-        participants = self.population.materialize(client_ids)
-        return self._train_clients(participants, broadcast_state, round_index)
-
-    def _train_clients(
-        self, participants: list[FederatedClient], broadcast_state: dict, round_index: int
-    ) -> list[ModelUpdate]:
-        """Run local training for all selected clients, possibly in parallel.
-
-        The update list is always in ``participants`` order, and each client's
-        RNG is derived from its id and the round alone, so the result does not
-        depend on the parallelism setting.
-        """
-        workers = self.config.parallelism
-        if workers is None:
-            workers = min(len(participants), os.cpu_count() or 1)
-        if workers <= 1 or len(participants) <= 1:
-            return [client.local_update(broadcast_state, round_index) for client in participants]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda c: c.local_update(broadcast_state, round_index), participants)
-            )
+        return [
+            client.local_update(broadcast_state, round_index)
+            for client in self.population.materialize(client_ids)
+        ]
 
     @staticmethod
     def _mean_local_loss(updates: list[ModelUpdate]) -> float:
@@ -772,8 +729,8 @@ class FederatedSimulation:
         if not scenario.is_async:
             # Sync-mode stragglers can never be merged (the round closes at
             # the deadline without them), so their training is skipped
-            # entirely — dropped work, exactly as under the legacy loop (and
-            # at population scale they are never even materialized).
+            # entirely — dropped work (and at population scale they are
+            # never even materialized).
             if scenario.deadline is not None:
                 arriver_ids = [
                     cid for cid in surviving_ids if latencies[cid] <= scenario.deadline
@@ -828,7 +785,7 @@ class FederatedSimulation:
             # Poison after training, before transport: a Byzantine participant
             # trains honestly enough to know the benign distribution (ALIE),
             # then reports poison.  In-place on the flat plane, keyed purely by
-            # (seed, client, round) — order- and parallelism-independent.
+            # (seed, client, round) — independent of execution order.
             attacked = self._adversary_injector.poison_round(
                 trained, broadcast_state, round_index, self.adversary_ledger
             )
@@ -917,19 +874,7 @@ class FederatedSimulation:
         retransmission_mark = self.fault_ledger.retransmissions
         adversary_mark = len(self.adversary_ledger.entries)
         broadcast_state = self.server.broadcast()
-
-        if self.config.scenario is None:
-            selected_ids = self._select_client_ids()
-            updates = self._train_cohort(selected_ids, broadcast_state, round_index)
-            self.population.release(selected_ids)
-            trained = updates
-            record = RoundRecord(
-                round_index=round_index,
-                global_accuracy=float("nan"),
-                num_selected=len(selected_ids),
-            )
-        else:
-            updates, trained, record = self._scenario_round(broadcast_state, round_index)
+        updates, trained, record = self._scenario_round(broadcast_state, round_index)
         mean_loss = self._mean_local_loss(trained)
 
         received = self.defense.process_round(

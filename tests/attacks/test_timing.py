@@ -132,7 +132,9 @@ class TestOnSimulationResult:
         # ~10x lift over the 1/24 random-assignment baseline
         assert spread_report.advantage > 0.25
 
-    def test_legacy_loop_has_no_event_stream(self, tiny_motionsense):
-        result = run_sim(tiny_motionsense, scenario=None, rounds=2)
-        with pytest.raises(ValueError, match="arrival timestamps"):
-            TimingSideChannel().run(result)
+    def test_default_scenario_has_no_timing_signal(self, tiny_motionsense):
+        """Without a latency model every arrival lands at the round start and
+        pops in client order; matching that would score a spurious 1.0."""
+        result = run_sim(tiny_motionsense, ScenarioConfig(), rounds=4)
+        with pytest.raises(ValueError, match="no signal"):
+            TimingSideChannel(warmup_rounds=2).run(result)

@@ -38,20 +38,22 @@ def model_fn_for_dataset(dataset):
     return lambda rng: paper_cnn(dataset.input_shape, dataset.num_classes, rng)
 
 
-def make_config(scenario=None, rounds=2, clients_per_round=6, parallelism=1, seed=0, aggregation="mean"):
+def make_config(
+    scenario=ScenarioConfig(), rounds=2, clients_per_round=6, seed=0, aggregation="mean", num_shards=0
+):
     return SimulationConfig(
         rounds=rounds,
         local=LocalTrainingConfig(local_epochs=1, batch_size=32),
         clients_per_round=clients_per_round,
         seed=seed,
-        parallelism=parallelism,
         track_per_client_accuracy=False,
         scenario=scenario,
         aggregation=aggregation,
+        num_shards=num_shards,
     )
 
 
-def make_sim(dataset, scenario=None, defense=None, **kwargs):
+def make_sim(dataset, scenario=ScenarioConfig(), defense=None, **kwargs):
     return FederatedSimulation(
         dataset, model_fn_for_dataset(dataset), make_config(scenario, **kwargs), defense=defense
     )
@@ -341,20 +343,19 @@ class TestZeroAdversaryBitIdentity:
         assert plain.transcript.head == adversarial.transcript.head
 
     @pytest.mark.parametrize("rule", ["mean", "krum"])
-    def test_adversarial_run_identical_across_parallelism(self, tiny_motionsense, rule):
-        def run(parallelism):
+    def test_adversarial_run_identical_across_shard_layouts(self, tiny_motionsense, rule):
+        def run(num_shards):
             scenario = adversarial_scenario(fraction=0.3, kind="sign-flip", scale=10.0)
             return make_sim(
-                tiny_motionsense, scenario, parallelism=parallelism, aggregation=rule
+                tiny_motionsense, scenario, num_shards=num_shards, aggregation=rule
             ).run()
 
-        serial = run(1)
-        threaded = run(8)
-        assert serial.accuracy_curve() == threaded.accuracy_curve()
-        for name, value in serial.final_state.items():
-            np.testing.assert_array_equal(value, threaded.final_state[name])
-        assert serial.adversary_ledger.entries == threaded.adversary_ledger.entries
-        assert serial.transcript.head == threaded.transcript.head
+        unsharded = run(0)
+        sharded = run(3)
+        assert unsharded.accuracy_curve() == sharded.accuracy_curve()
+        for name, value in unsharded.final_state.items():
+            np.testing.assert_array_equal(value, sharded.final_state[name])
+        assert unsharded.adversary_ledger.entries == sharded.adversary_ledger.entries
 
 
 class TestSignFlipCollapse:

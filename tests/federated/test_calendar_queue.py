@@ -27,10 +27,8 @@ from repro.federated import (
     RandomDropout,
     RoundDeadline,
     ScenarioConfig,
-    SCHEDULER_BACKENDS,
     SimulationConfig,
     TransmissionFailure,
-    make_scheduler,
 )
 from repro.utils.rng import rng_from_seed
 
@@ -163,20 +161,7 @@ class TestCalendarMatchesHeap:
                 scheduler.advance(-1.0)
 
 
-class TestBackendFactory:
-    def test_make_scheduler_backends(self):
-        assert isinstance(make_scheduler("calendar"), CalendarQueue)
-        assert isinstance(make_scheduler("heap"), EventScheduler)
-        assert set(SCHEDULER_BACKENDS) == {"calendar", "heap"}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler backend"):
-            make_scheduler("splay-tree")
-        with pytest.raises(ValueError, match="unknown scheduler backend"):
-            SimulationConfig(
-                rounds=1, local=LocalTrainingConfig(), scheduler="splay-tree"
-            )
-
+class TestCalendarValidation:
     def test_calendar_parameter_validation(self):
         with pytest.raises(ValueError, match="bucket_width"):
             CalendarQueue(bucket_width=0.0)
@@ -230,37 +215,41 @@ def record_trace(result):
 
 
 class TestFullSimulationBackendIdentity:
-    def run(self, dataset, scenario, backend, parallelism=1, rounds=3):
+    def run(self, dataset, scenario, scheduler=None, rounds=3, num_shards=0):
+        """Run a simulation, on the heap reference when ``scheduler`` is an
+        :class:`EventScheduler` substituted for the built-in calendar queue."""
         config = SimulationConfig(
             rounds=rounds,
             local=LocalTrainingConfig(local_epochs=1, batch_size=32),
             clients_per_round=6,
             seed=11,
-            parallelism=parallelism,
             track_per_client_accuracy=False,
             scenario=scenario,
-            scheduler=backend,
+            num_shards=num_shards,
         )
         sim = FederatedSimulation(dataset, model_fn_for(dataset), config, defense=NoDefense())
+        assert isinstance(sim._scheduler, CalendarQueue)
+        if scheduler is not None:
+            sim._scheduler = scheduler
         return sim.run()
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_backends_are_bit_identical(self, tiny_motionsense, name):
-        heap = self.run(tiny_motionsense, SCENARIOS[name], "heap")
-        calendar = self.run(tiny_motionsense, SCENARIOS[name], "calendar")
+        heap = self.run(tiny_motionsense, SCENARIOS[name], EventScheduler())
+        calendar = self.run(tiny_motionsense, SCENARIOS[name])
         assert record_trace(heap) == record_trace(calendar)
         for key in heap.final_state:
             np.testing.assert_array_equal(heap.final_state[key], calendar.final_state[key])
 
-    @pytest.mark.parametrize("name", ["sync-deadline", "quorum-faults-adversary"])
-    def test_backends_identical_under_parallelism(self, tiny_motionsense, name):
-        heap = self.run(tiny_motionsense, SCENARIOS[name], "heap", parallelism=8)
-        calendar = self.run(tiny_motionsense, SCENARIOS[name], "calendar", parallelism=8)
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_backends_identical_when_sharded(self, tiny_motionsense, name):
+        heap = self.run(tiny_motionsense, SCENARIOS[name], EventScheduler(), num_shards=2)
+        calendar = self.run(tiny_motionsense, SCENARIOS[name], num_shards=2)
         assert record_trace(heap) == record_trace(calendar)
 
     def test_checkpoint_resume_is_bit_identical_on_calendar(self, tiny_motionsense):
         scenario = SCENARIOS["buffered-async"]
-        straight = self.run(tiny_motionsense, scenario, "calendar", rounds=4)
+        straight = self.run(tiny_motionsense, scenario, rounds=4)
 
         config = SimulationConfig(
             rounds=4,
@@ -269,7 +258,6 @@ class TestFullSimulationBackendIdentity:
             seed=11,
             track_per_client_accuracy=False,
             scenario=scenario,
-            scheduler="calendar",
         )
         first = FederatedSimulation(
             tiny_motionsense, model_fn_for(tiny_motionsense), config, defense=NoDefense()

@@ -14,9 +14,9 @@ The load-bearing properties:
   reductions over the client axis; per-client rows agree with serial within
   1e-6 relative tolerance.
 * **Wiring** — ``SimulationConfig(cohort_batching=True)`` is end-to-end
-  bit-identical (MLP) on the plain path and through the sharded plane, while
-  ``cohort_batching=False`` keeps the serial reference byte-for-byte across
-  parallelism settings.
+  bit-identical (MLP) to the serial reference on the plain path and through
+  the sharded plane, while ``cohort_batching=False`` keeps the serial
+  reference byte-for-byte across shard layouts.
 """
 
 import threading
@@ -207,18 +207,16 @@ class TestSimulationWiring:
             r.mean_local_loss for r in batched.rounds
         ]
 
-    def test_serial_reference_unchanged_across_parallelism(self, population_dataset):
+    def test_serial_reference_unchanged_across_shard_layouts(self, population_dataset):
         # cohort_batching=False must keep the serial reference byte-for-byte,
-        # whatever the thread-pool width.
+        # however the cohort is split over leaf shards.
         model_fn = model_fn_for(population_dataset)
-        parallel_1 = _make_sim(
-            population_dataset, model_fn, cohort_batching=False, parallelism=1
+        unsharded = _make_sim(population_dataset, model_fn, cohort_batching=False).run()
+        sharded = _make_sim(
+            population_dataset, model_fn, cohort_batching=False, num_shards=4
         ).run()
-        parallel_8 = _make_sim(
-            population_dataset, model_fn, cohort_batching=False, parallelism=8
-        ).run()
-        for name, value in parallel_1.final_state.items():
-            np.testing.assert_array_equal(value, parallel_8.final_state[name])
+        for name, value in unsharded.final_state.items():
+            np.testing.assert_array_equal(value, sharded.final_state[name])
 
     def test_sharded_cohort_batching_bit_identical(self, population_dataset):
         model_fn = model_fn_for(population_dataset)
@@ -241,14 +239,15 @@ class TestSimulationWiring:
             for name, view in update.state.items():
                 assert np.shares_memory(view, update.flat_vector)
 
-    def test_training_under_parallelism_with_concurrent_evaluation(self):
-        # Satellite regression: a concurrent no_grad evaluation must not
-        # disable grad recording for in-flight training threads.
+    def test_training_with_concurrent_evaluation(self):
+        # Regression: the grad flag is thread-local, so an evaluator thread
+        # hammering no_grad() must not disable grad recording for training
+        # on the main thread.
         dataset = SyntheticPopulation(
             population_size=16, num_features=8, num_classes=3, samples_per_client=12, seed=5
         )
         model_fn = model_fn_for(dataset)
-        reference = _make_sim(dataset, model_fn, parallelism=1).run()
+        reference = _make_sim(dataset, model_fn).run()
 
         eval_model = model_fn(rng_from_seed(0))
         eval_data = dataset.client_data(0).train
@@ -262,7 +261,7 @@ class TestSimulationWiring:
         worker = threading.Thread(target=evaluator)
         worker.start()
         try:
-            concurrent = _make_sim(dataset, model_fn, parallelism=8).run()
+            concurrent = _make_sim(dataset, model_fn).run()
         finally:
             stop.set()
             worker.join(timeout=60)

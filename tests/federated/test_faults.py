@@ -32,19 +32,19 @@ def model_fn_for_dataset(dataset):
     return lambda rng: paper_cnn(dataset.input_shape, dataset.num_classes, rng)
 
 
-def make_config(scenario=None, rounds=2, clients_per_round=6, parallelism=1, seed=0):
+def make_config(scenario=ScenarioConfig(), rounds=2, clients_per_round=6, seed=0, num_shards=0):
     return SimulationConfig(
         rounds=rounds,
         local=LocalTrainingConfig(local_epochs=1, batch_size=32),
         clients_per_round=clients_per_round,
         seed=seed,
-        parallelism=parallelism,
         track_per_client_accuracy=False,
         scenario=scenario,
+        num_shards=num_shards,
     )
 
 
-def make_sim(dataset, scenario=None, defense=None, **kwargs):
+def make_sim(dataset, scenario=ScenarioConfig(), defense=None, **kwargs):
     return FederatedSimulation(
         dataset, model_fn_for_dataset(dataset), make_config(scenario, **kwargs), defense=defense
     )
@@ -227,18 +227,18 @@ class TestZeroFaultBitIdentity:
             assert r_plain.num_aggregated == r_armed.num_aggregated
             assert r_plain.simulated_duration == r_armed.simulated_duration
 
-    def test_faulted_run_identical_across_parallelism(self, tiny_motionsense):
-        def run(parallelism):
+    def test_faulted_run_identical_across_shard_layouts(self, tiny_motionsense):
+        def run(num_shards):
             scenario = faulted_scenario(
                 frame_corruption_rate=0.2, client_crash_rate=0.1, quorum_fraction=0.8
             )
-            return make_sim(tiny_motionsense, scenario, parallelism=parallelism).run()
+            return make_sim(tiny_motionsense, scenario, num_shards=num_shards).run()
 
-        serial = run(1)
-        threaded = run(8)
-        assert serial.accuracy_curve() == threaded.accuracy_curve()
-        assert [e for e in serial.fault_ledger.entries] == [
-            e for e in threaded.fault_ledger.entries
+        unsharded = run(0)
+        sharded = run(2)
+        assert unsharded.accuracy_curve() == sharded.accuracy_curve()
+        assert [e for e in unsharded.fault_ledger.entries] == [
+            e for e in sharded.fault_ledger.entries
         ]
 
 

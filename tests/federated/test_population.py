@@ -128,17 +128,20 @@ class TestLazySimulation:
         for key in a.final_state:
             np.testing.assert_array_equal(a.final_state[key], b.final_state[key])
 
-    def test_lazy_run_identical_across_parallelism(self):
-        def run(parallelism):
+    @pytest.mark.parametrize(
+        "layout", [{"num_shards": 3}, {"cohort_batching": True}], ids=["sharded", "cohort-batched"]
+    )
+    def test_lazy_run_identical_across_execution_layouts(self, layout):
+        def run(**overrides):
             dataset = SyntheticPopulation(population_size=300, seed=6)
             sim = FederatedSimulation(
-                dataset, model_fn_for(dataset), sim_config(seed=6, parallelism=parallelism)
+                dataset, model_fn_for(dataset), sim_config(seed=6, **overrides)
             )
             return sim.run()
 
-        seq, par = run(1), run(8)
-        for key in seq.final_state:
-            np.testing.assert_array_equal(seq.final_state[key], par.final_state[key])
+        reference, laid_out = run(), run(**layout)
+        for key in reference.final_state:
+            np.testing.assert_array_equal(reference.final_state[key], laid_out.final_state[key])
 
     def test_scenario_round_releases_cohort(self):
         dataset = SyntheticPopulation(population_size=400, seed=7)

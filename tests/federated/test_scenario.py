@@ -36,19 +36,19 @@ def model_fn_for_dataset(dataset):
     return lambda rng: paper_cnn(dataset.input_shape, dataset.num_classes, rng)
 
 
-def make_config(scenario=None, rounds=2, clients_per_round=6, parallelism=1, seed=0):
+def make_config(scenario=ScenarioConfig(), rounds=2, clients_per_round=6, seed=0, num_shards=0):
     return SimulationConfig(
         rounds=rounds,
         local=LocalTrainingConfig(local_epochs=1, batch_size=32),
         clients_per_round=clients_per_round,
         seed=seed,
-        parallelism=parallelism,
         track_per_client_accuracy=False,
         scenario=scenario,
+        num_shards=num_shards,
     )
 
 
-def run_sim(dataset, scenario=None, defense=None, **kwargs):
+def run_sim(dataset, scenario=ScenarioConfig(), defense=None, **kwargs):
     sim = FederatedSimulation(
         dataset, model_fn_for_dataset(dataset), make_config(scenario, **kwargs), defense=defense
     )
@@ -263,17 +263,6 @@ class TestStalenessWeighting:
 
 
 class TestScenarioRounds:
-    def test_no_scenario_bit_identical_to_default_scenario(self, tiny_motionsense):
-        """Regression guard: ScenarioConfig() defaults == legacy round loop."""
-        legacy = run_sim(tiny_motionsense, scenario=None)
-        default = run_sim(tiny_motionsense, scenario=ScenarioConfig())
-        assert legacy.accuracy_curve() == default.accuracy_curve()
-        assert [r.mean_local_loss for r in legacy.rounds] == [
-            r.mean_local_loss for r in default.rounds
-        ]
-        for name in legacy.final_state:
-            np.testing.assert_array_equal(legacy.final_state[name], default.final_state[name])
-
     def test_dropout_shrinks_rounds(self, tiny_motionsense):
         result = run_sim(tiny_motionsense, ScenarioConfig(availability=RandomDropout(0.4)))
         for record in result.rounds:
@@ -357,26 +346,26 @@ class TestScenarioRounds:
         assert sum(r.num_stale for r in result.rounds) == 0
         assert sum(r.num_discarded for r in result.rounds) > 0
 
-    def test_churn_determinism_across_parallelism(self, tiny_motionsense):
-        """Dropout + async rounds must be bit-identical for parallelism 1 vs 8."""
+    def test_churn_determinism_across_shard_layouts(self, tiny_motionsense):
+        """Dropout + async rounds must be bit-identical unsharded vs sharded."""
         scenario = ScenarioConfig(
             availability=RandomDropout(0.25),
             latency=LogNormalLatency(median=1.0, sigma=0.8),
             aggregation="buffered-async",
             buffer_size=4,
         )
-        sequential = run_sim(tiny_motionsense, scenario, parallelism=1)
-        parallel = run_sim(tiny_motionsense, scenario, parallelism=8)
-        assert sequential.accuracy_curve() == parallel.accuracy_curve()
-        for a, b in zip(sequential.rounds, parallel.rounds):
+        unsharded = run_sim(tiny_motionsense, scenario)
+        sharded = run_sim(tiny_motionsense, scenario, num_shards=2)
+        assert unsharded.accuracy_curve() == sharded.accuracy_curve()
+        for a, b in zip(unsharded.rounds, sharded.rounds):
             assert a.mean_local_loss == b.mean_local_loss
             assert (a.num_dropped, a.num_stale, a.num_aggregated) == (
                 b.num_dropped,
                 b.num_stale,
                 b.num_aggregated,
             )
-        for name in sequential.final_state:
-            np.testing.assert_array_equal(sequential.final_state[name], parallel.final_state[name])
+        for name in unsharded.final_state:
+            np.testing.assert_array_equal(unsharded.final_state[name], sharded.final_state[name])
 
     def test_caller_supplied_proxy_keeps_its_k_under_churn(self, tiny_motionsense, keypair):
         """Adaptive k only applies to defense-built proxies: an explicitly

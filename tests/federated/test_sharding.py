@@ -58,7 +58,7 @@ def make_sim(
     num_shards=0,
     backend="inline",
     aggregation="mean",
-    scenario=None,
+    scenario=ScenarioConfig(),
     rounds=2,
     clients_per_round=6,
     seed=3,

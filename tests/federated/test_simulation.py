@@ -11,6 +11,7 @@ from repro.experiments.models import paper_cnn
 from repro.federated import (
     FederatedSimulation,
     LocalTrainingConfig,
+    ScenarioConfig,
     SimulationConfig,
 )
 from repro.federated.update import ModelUpdate
@@ -39,6 +40,18 @@ class TestSimulationConfig:
         config = SimulationConfig(rounds=3, local=LocalTrainingConfig())
         assert config.clients_per_round is None
         assert config.track_per_client_accuracy
+        assert config.scenario == ScenarioConfig()
+
+    def test_scenario_must_be_a_scenario_config(self):
+        with pytest.raises(TypeError, match="ScenarioConfig"):
+            SimulationConfig(rounds=1, local=LocalTrainingConfig(), scenario=None)
+
+    @pytest.mark.parametrize("knob, value", [("parallelism", 8), ("scheduler", "heap")])
+    def test_removed_knobs_are_rejected(self, knob, value):
+        # one round loop on one scheduler: there is no thread-pool width or
+        # scheduler backend left to choose
+        with pytest.raises(TypeError, match=knob):
+            SimulationConfig(rounds=1, local=LocalTrainingConfig(), **{knob: value})
 
 
 class TestFederatedSimulation:
@@ -119,49 +132,37 @@ class TestFederatedSimulation:
         assert curve[-1] > 1.0 / tiny_motionsense.num_classes  # beats random
 
 
-class TestParallelRounds:
-    def test_parallelism_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(rounds=1, local=LocalTrainingConfig(), parallelism=0)
-
-    def test_parallel_runs_bit_identical_to_sequential(self, tiny_motionsense, fast_config):
-        def run(parallelism):
-            sim = FederatedSimulation(
-                tiny_motionsense,
-                model_fn_for_dataset(tiny_motionsense),
-                replace(fast_config, parallelism=parallelism),
-            )
-            return sim.run()
-
-        sequential = run(1)
-        parallel = run(4)
-        for a, b in zip(sequential.rounds, parallel.rounds):
-            assert a.global_accuracy == b.global_accuracy
-            assert a.mean_local_loss == b.mean_local_loss
-            assert a.per_client_accuracy == b.per_client_accuracy
-        for name in sequential.final_state:
-            assert np.array_equal(sequential.final_state[name], parallel.final_state[name])
-
-    def test_auto_parallelism_runs(self, tiny_motionsense, fast_config):
-        sim = FederatedSimulation(
-            tiny_motionsense,
-            model_fn_for_dataset(tiny_motionsense),
-            replace(fast_config, parallelism=None),
-        )
-        result = sim.run()
-        assert len(result.rounds) == fast_config.rounds
-
+class TestRoundOrder:
     def test_update_order_matches_participants(self, tiny_motionsense, fast_config):
-        """Parallel training must not reorder the round's update list."""
+        """The default scenario merges arrivals in selection order."""
         sim = FederatedSimulation(
-            tiny_motionsense,
-            model_fn_for_dataset(tiny_motionsense),
-            replace(fast_config, parallelism=3),
+            tiny_motionsense, model_fn_for_dataset(tiny_motionsense), fast_config
         )
         result = sim.run()
         for round_updates in result.received_updates:
             senders = [u.sender_id for u in round_updates]
             assert senders == sorted(senders)
+
+    def test_sharded_runs_bit_identical_to_unsharded(self, tiny_motionsense, fast_config):
+        """Splitting the cohort over leaf shards must not change any round."""
+
+        def run(num_shards):
+            sim = FederatedSimulation(
+                tiny_motionsense,
+                model_fn_for_dataset(tiny_motionsense),
+                replace(fast_config, num_shards=num_shards),
+            )
+            return sim.run()
+
+        serial = run(0)
+        sharded = run(3)
+        for a, b in zip(serial.rounds, sharded.rounds):
+            assert a.global_accuracy == b.global_accuracy
+            assert a.mean_local_loss == b.mean_local_loss
+            assert a.per_client_accuracy == b.per_client_accuracy
+            assert a.arrival_times == b.arrival_times
+        for name in serial.final_state:
+            np.testing.assert_array_equal(serial.final_state[name], sharded.final_state[name])
 
 
 class TestMeanLossGuard:
